@@ -66,9 +66,15 @@ def dataset_events(name: str, seed: int = 0):
 
 
 def run_streaming(
-    events, capacity: int, constraint=None, seed: int = 0, **kwargs
+    events,
+    capacity: int,
+    constraint=None,
+    seed: int = 0,
+    batch_size: Optional[int] = None,
+    **kwargs,
 ) -> StreamingGraphClusterer:
-    """Run the streaming clusterer over a finite stream."""
+    """Run the streaming clusterer over a finite stream (per-event, or
+    through ``apply_many`` in chunks of ``batch_size``)."""
     config_kwargs: Dict = dict(
         reservoir_capacity=max(1, capacity), strict=False, seed=seed
     )
@@ -76,7 +82,7 @@ def run_streaming(
         config_kwargs["constraint"] = constraint
     config_kwargs.update(kwargs)
     clusterer = StreamingGraphClusterer(ClustererConfig(**config_kwargs))
-    clusterer.process(events)
+    clusterer.process(events, batch_size=batch_size)
     return clusterer
 
 

@@ -11,6 +11,10 @@ the committed baseline in ``bench_results/perf_smoke_baseline.json``:
   over the per-event path (ratio check, immune to runner speed), and
   the numpy kernel a margin over the scalar batched path (the two are
   measured as order-balanced back-to-back pairs);
+* a constrained case (``MaxClusterSize`` over a prefix of the dblp_like
+  insert/delete stream) must keep batched >= 2x per-event, measured as
+  paired order-balanced rounds, so constrained configs cannot silently
+  drop back to per-event ingestion;
 * the pipeline run (2 workers, spawn excluded from the clock) must end
   in exactly the partition sequential sharded execution reaches;
 * tracemalloc peak during a batched ingest must stay within
@@ -47,11 +51,15 @@ from bench_common import dataset_events, environment_record  # noqa: E402
 from repro import obs  # noqa: E402
 from repro.core import (  # noqa: E402
     ClustererConfig,
+    MaxClusterSize,
     PipelineClusterer,
     ShardedClusterer,
     StreamingGraphClusterer,
+    Unconstrained,
 )
+from repro.datasets import load_dataset  # noqa: E402
 from repro.serve import ClusterService, ServiceClient  # noqa: E402
+from repro.streams import insert_delete_stream  # noqa: E402
 from repro.streams.events import EventColumns  # noqa: E402
 
 # bench_common enables metric emission for the experiment benchmarks;
@@ -74,14 +82,25 @@ PIPELINE_WORKERS = 2  # small pool: the smoke gates routing/framing cost
 METRICS_TOLERANCE = 0.03  # max throughput cost of the metrics layer
 OVERHEAD_EVENTS = 10000  # shorter prefix: relative sync cost is length-free
 OVERHEAD_ROUNDS = 20  # interleaved off/on round pairs for the overhead check
+CONSTRAINED_EVENTS = 20000  # prefix of the dblp_like 30%-churn stream
+CONSTRAINED_LIMIT = 400  # MaxClusterSize bound, as the churn workload sets it
+MIN_CONSTRAINED_RATIO = 2.0  # constrained batched >= 2x constrained per-event
 
 
 def _ingest(
-    events, capacity: int, batch_size: int | None, kernel: str = "scalar"
+    events,
+    capacity: int,
+    batch_size: int | None,
+    kernel: str = "scalar",
+    constraint=None,
 ) -> float:
     clusterer = StreamingGraphClusterer(
         ClustererConfig(
-            reservoir_capacity=capacity, strict=False, seed=SEED, kernel=kernel
+            reservoir_capacity=capacity,
+            strict=False,
+            seed=SEED,
+            kernel=kernel,
+            constraint=constraint or Unconstrained(),
         )
     )
     start = time.perf_counter()
@@ -197,6 +216,38 @@ def measure() -> dict:
     }
 
 
+def measure_constrained() -> dict:
+    """Constrained per-event vs batched ingest of a churned prefix.
+
+    Paired and order-balanced like the kernel comparison: each round
+    times both paths back to back, alternating which goes first, and
+    the gate compares best-of-rounds.
+    """
+    dataset = load_dataset("dblp_like", seed=SEED)
+    events = insert_delete_stream(dataset.edges, churn=0.3, seed=SEED)
+    events = events[:CONSTRAINED_EVENTS]
+    raw = [(event.kind, event.u, event.v) for event in events]
+    capacity = max(1, len(events) // 10)
+    times = {None: [], BATCH_SIZE: []}
+    for i in range(ROUNDS):
+        order = (None, BATCH_SIZE) if i % 2 == 0 else (BATCH_SIZE, None)
+        for batch_size in order:
+            times[batch_size].append(
+                _ingest(
+                    events if batch_size is None else raw,
+                    capacity,
+                    batch_size,
+                    constraint=MaxClusterSize(CONSTRAINED_LIMIT),
+                )
+            )
+    return {
+        "constrained_per_event_events_per_sec": round(len(events) / min(times[None])),
+        "constrained_batched_events_per_sec": round(
+            len(events) / min(times[BATCH_SIZE])
+        ),
+    }
+
+
 def peak_memory() -> dict:
     """tracemalloc peak during one batched ingest of the smoke prefix.
 
@@ -274,6 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     current = measure()
+    current.update(measure_constrained())
     current.update(peak_memory())
     print(f"per-event: {current['per_event_events_per_sec']:,} ev/s")
     print(f"batched (batch={BATCH_SIZE}): {current['batched_events_per_sec']:,} ev/s")
@@ -288,6 +340,14 @@ def main(argv=None) -> int:
     print(
         f"served (columnar, batch={BATCH_SIZE}): "
         f"{current['served_events_per_sec']:,} ev/s"
+    )
+    print(
+        f"constrained per-event (MaxClusterSize({CONSTRAINED_LIMIT}), churn): "
+        f"{current['constrained_per_event_events_per_sec']:,} ev/s"
+    )
+    print(
+        f"constrained batched (batch={BATCH_SIZE}): "
+        f"{current['constrained_batched_events_per_sec']:,} ev/s"
     )
     print(f"peak ingest memory: {current['peak_ingest_bytes'] / 2**20:.1f} MiB")
 
@@ -307,6 +367,7 @@ def main(argv=None) -> int:
         "numpy_kernel_events_per_sec",
         "pipeline_events_per_sec",
         "served_events_per_sec",
+        "constrained_batched_events_per_sec",
     ):
         floor = baseline[key] * (1.0 - TOLERANCE)
         status = "ok" if current[key] >= floor else "REGRESSION"
@@ -331,6 +392,17 @@ def main(argv=None) -> int:
     )
     if kernel_ratio < MIN_KERNEL_RATIO:
         failures.append("numpy/scalar kernel ratio")
+
+    constrained_ratio = (
+        current["constrained_batched_events_per_sec"]
+        / current["constrained_per_event_events_per_sec"]
+    )
+    print(
+        f"constrained batched/per-event ratio: {constrained_ratio:.2f}x "
+        f"(floor {MIN_CONSTRAINED_RATIO}x)"
+    )
+    if constrained_ratio < MIN_CONSTRAINED_RATIO:
+        failures.append("constrained batched/per-event ratio")
 
     ceiling = baseline["peak_ingest_bytes"] * (1.0 + MEMORY_TOLERANCE)
     status = "ok" if current["peak_ingest_bytes"] <= ceiling else "REGRESSION"

@@ -36,20 +36,22 @@ sampling decisions.
 Batched ingestion
 -----------------
 :meth:`StreamingGraphClusterer.apply_many` is the high-throughput entry
-point. For the unconstrained random-pairing configuration it amortizes
-the per-event Python overhead across a whole batch: events are consumed
-as plain ``(kind, u, v)`` tuples or :class:`EdgeEvent` objects, stats
-are accumulated in local counters, and — crucially — the fully-dynamic
+point. For the random-pairing sampler it amortizes the per-event Python
+overhead across a whole batch: events are consumed as plain
+``(kind, u, v)`` tuples or :class:`EdgeEvent` objects, stats are
+accumulated in local counters, and — crucially — the fully-dynamic
 connectivity structure is **deferred**: the batch records the sample
 mutations it performs and resolves their exact merge/split outcomes
 afterwards with offline divide-and-conquer connectivity
 (:func:`~repro.connectivity.offline.resolve_sample_timeline`); the live
 structure receives only the *net* edge diff, and only when something
-actually needs it (a per-event :meth:`apply`, a vertex deletion, or
-:meth:`get_state`). Clustering queries between batches are answered from
-the reservoir directly via a cached vertex → component labelling, so
-the end-to-end result — partition, statistics, reservoir content, and
-RNG state — is identical to the per-event path (property-tested in
+actually needs it (a per-event :meth:`apply` or a vertex deletion).
+Admission constraints are decided on exact component labels the batch
+loop keeps over the sample, never on the deferred structure. Clustering
+queries between batches are answered from the reservoir directly via a
+cached vertex → component labelling, so the end-to-end result —
+partition, statistics, reservoir content, and RNG state — is identical
+to the per-event path (property-tested in
 ``tests/test_apply_many_property.py``). See ``docs/performance.md``.
 """
 
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from sys import getsizeof
+from sys import getsizeof, maxsize
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.connectivity import make_connectivity
@@ -65,7 +67,13 @@ from repro.connectivity.offline import resolve_sample_timeline
 from repro.obs import metrics as _obs
 from repro.connectivity.union_find import UnionFind
 from repro.core.config import ClustererConfig, DeletionPolicy, normalize_config
-from repro.core.constraints import Unconstrained
+from repro.core.constraints import (
+    CompositeConstraint,
+    ConstraintPolicy,
+    MaxClusterSize,
+    MinClusterCount,
+    Unconstrained,
+)
 from repro.errors import StreamError, UnsupportedOperationError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.intern import VertexInterner
@@ -120,6 +128,45 @@ class ClustererStats:
     def as_dict(self) -> dict:
         """Plain-dict view (for logging / result records)."""
         return dict(self.__dict__)
+
+
+def _decides_on_sample(constraint: ConstraintPolicy) -> bool:
+    """Can the batch loop decide ``constraint`` on its sample labels?
+
+    True for the built-in policies, which query only what
+    :class:`_SampleComponents` offers. A user-defined policy may query
+    anything on the connectivity backend, so it stays per-event.
+    """
+    if type(constraint) is CompositeConstraint:
+        return all(_decides_on_sample(policy) for policy in constraint.policies)
+    return type(constraint) in (Unconstrained, MaxClusterSize, MinClusterCount)
+
+
+class _SampleComponents:
+    """Read-only view of the batch loop's exact sample component labels,
+    offering the part of the DynamicConnectivity interface constraint
+    policies query. Vertices without a sampled edge are singletons."""
+
+    __slots__ = ("_comp", "_sizes", "_vertices")
+
+    def __init__(
+        self, comp: Dict[int, int], sizes: Dict[int, int], vertices: Set[int]
+    ) -> None:
+        self._comp = comp
+        self._sizes = sizes
+        self._vertices = vertices
+
+    def connected(self, u: int, v: int) -> bool:
+        cu = self._comp.get(u)
+        return u == v or (cu is not None and cu == self._comp.get(v))
+
+    def component_size(self, v: int) -> int:
+        cid = self._comp.get(v)
+        return 1 if cid is None else self._sizes[cid]
+
+    @property
+    def num_components(self) -> int:
+        return len(self._vertices) - len(self._comp) + len(self._sizes)
 
 
 class StreamingGraphClusterer:
@@ -277,6 +324,20 @@ class StreamingGraphClusterer:
         else:  # pragma: no cover - enum is closed
             raise AssertionError(f"unknown event kind {kind!r}")
 
+    def _batches(self) -> bool:
+        """Do :meth:`apply_many` and :meth:`apply_interned_many` take a
+        batch path (the scalar loop or the numpy kernel)?"""
+        config = self.config
+        constraint = config.constraint
+        return (
+            config.deletion_policy is DeletionPolicy.RANDOM_PAIRING
+            and getattr(config, "batch_fast_path", True)
+            and (
+                type(constraint) is Unconstrained
+                or (self._kernel is None and _decides_on_sample(constraint))
+            )
+        )
+
     def apply_many(self, events: Iterable[AnyEvent]) -> "StreamingGraphClusterer":
         """Process a stream of events through the batched fast path.
 
@@ -287,19 +348,19 @@ class StreamingGraphClusterer:
         graph, and clustering — is identical to calling :meth:`apply`
         per event, for any split of the stream into batches.
 
-        The fast path engages for the unconstrained random-pairing
-        configuration; constrained or RESAMPLE configurations fall back
-        to per-event processing transparently. Vertex deletions act as
-        batch barriers (they need live connectivity), so streams where
-        they are rare still batch well. Returns self for chaining.
+        The fast path engages for the random-pairing sampler, with or
+        without a built-in constraint: the constraint decides each
+        admission on the exact sample component labels the batch loop
+        maintains, seeing the same sample the per-event path shows it.
+        RESAMPLE configurations, user-defined constraint policies (which
+        may query the whole connectivity interface), and the numpy
+        kernel with a constraint fall back to per-event processing
+        transparently. Vertex deletions act
+        as batch barriers (they need live connectivity), so streams
+        where they are rare still batch well. Returns self for chaining.
         """
-        config = self.config
         columns = type(events) is EventColumns
-        if (
-            config.deletion_policy is not DeletionPolicy.RANDOM_PAIRING
-            or type(config.constraint) is not Unconstrained
-            or not getattr(config, "batch_fast_path", True)
-        ):
+        if not self._batches():
             if columns:
                 events = events.to_events()
             for event in events:
@@ -341,20 +402,16 @@ class StreamingGraphClusterer:
         Vertex events are not accepted (their application is conditional
         on label-space state; the pipeline handles them per-event).
         """
-        config = self.config
-        if (
-            config.deletion_policy is not DeletionPolicy.RANDOM_PAIRING
-            or type(config.constraint) is not Unconstrained
-            or not getattr(config, "batch_fast_path", True)
-        ):
+        if not self._batches():
             label_of = self._intern.label_of
             for kind, uid, vid in events:
                 self.apply(EdgeEvent(kind, label_of(uid), label_of(vid)))
             if _obs._ENABLED:
                 self.sync_metrics()
             return self
-        if self._kernel is not None:
-            self._kernel.apply_interned(events)
+        kernel = self._kernel
+        if kernel is not None:
+            kernel.apply_interned(events)
             if _obs._ENABLED:
                 self.sync_metrics()
             return self
@@ -446,7 +503,14 @@ class StreamingGraphClusterer:
         # timeline is then resolved offline in the finally block and the
         # labels are rebuilt at the next batch. The lazy backend never
         # probes (its counters are simulated exactly in _resolve_ops).
-        probing = self.config.connectivity_backend != "lazy"
+        #
+        # A constraint decides each admission on these labels, so they
+        # must stay exact throughout: every backend probes, and split
+        # checks run without a budget.
+        constraint = self.config.constraint
+        allows = None if type(constraint) is Unconstrained else constraint.allows
+        probing = allows is not None or self.config.connectivity_backend != "lazy"
+        budget = 1024 if allows is None else maxsize
         if probing and self._comp_dirty:
             self._rebuild_components()
         comp = self._comp
@@ -454,7 +518,8 @@ class StreamingGraphClusterer:
         comp_size = self._comp_size
         comp_next = self._comp_next
         split_check = self._split_components
-        n_merges = n_splits = 0
+        view = _SampleComponents(comp, comp_size, conn_ids)
+        n_merges = n_splits = n_vetoes = 0
         base_labels = self._labels_cache  # pre-batch components, if current
         ops: List[Tuple[bool, int, int]] = []
         n_events = n_adds = n_deletes = n_vadds = 0
@@ -569,6 +634,12 @@ class StreamingGraphClusterer:
                         while r >= size:
                             r = getrandbits(bits)
                         evicted = slots[r]
+                    # The constraint sees the sample the per-event path
+                    # shows it: after the draws, before the eviction.
+                    if allows is not None and not allows(view, uid, vid):
+                        n_vetoes += 1
+                        continue
+                    if evicted is not None:
                         pos = slot_of.pop(evicted)
                         last = slots.pop()
                         if pos < len(slots):
@@ -602,7 +673,7 @@ class StreamingGraphClusterer:
                                 del comp[ev_v]
                                 comp_size[cid] -= 1
                             else:
-                                side = split_check(ev_u, ev_v)
+                                side = split_check(ev_u, ev_v, budget)
                                 if side is None:
                                     probing = False
                                     self.probe_budget_hits += 1
@@ -726,7 +797,7 @@ class StreamingGraphClusterer:
                                 del comp[kv]
                                 comp_size[cid] -= 1
                             else:
-                                side = split_check(ku, kv)
+                                side = split_check(ku, kv, budget)
                                 if side is None:
                                     probing = False
                                     self.probe_budget_hits += 1
@@ -785,6 +856,7 @@ class StreamingGraphClusterer:
             stats.evictions += n_evicted
             stats.sample_deletions += n_sample_del
             stats.malformed_events += n_malformed
+            stats.vetoes += n_vetoes
             self._comp_next = comp_next
             if ops and not probing:
                 # The labels stopped being maintained (budget hit) or
@@ -793,6 +865,10 @@ class StreamingGraphClusterer:
             if ops:
                 if probing:
                     merges, splits = n_merges, n_splits
+                    if n_evicted or n_sample_del:
+                        # What a flush would do to the lazy backend
+                        # (the only backend that reads this flag).
+                        self._lazy_dirty = True
                 else:
                     merges, splits = self._resolve_ops(base_labels, ops)
                 stats.component_merges += merges
@@ -1248,17 +1324,21 @@ class StreamingGraphClusterer:
         vertex set on restore. Component structure (the clustering) is
         an exact function of those, so the rebuilt structure answers
         every query identically; only its internal balancing randomness
-        differs, which is unobservable. Any deferred batch diff is
-        flushed first, so batched and per-event runs checkpoint
-        identically.
+        differs, which is unobservable. A deferred batch diff is left
+        deferred: the state records what flushing it would leave (the
+        backend's vertices, then the batch's fresh ones, and the lazy
+        backend's dirty flag), so batched and per-event runs checkpoint
+        identically without replaying the diff into the backend.
 
         Everything label-facing is externalized: the intern table as a
         label list in id order, the reservoir sample as label-canonical
         edge tuples in slot order, the connectivity vertex set as labels
         in registration order.
         """
-        if self._conn_stale:
-            self._flush_conn()
+        conn = self._conn
+        conn_dirty = bool(getattr(conn, "dirty", False))
+        if self._conn_stale and self._lazy_dirty and hasattr(conn, "mark_dirty"):
+            conn_dirty = True
         if self._kernel is not None:
             self._kernel.settle_stats()
         extern_key = self._extern_key
@@ -1266,7 +1346,6 @@ class StreamingGraphClusterer:
         reservoir_state["items"] = [
             extern_key(key) for key in reservoir_state["items"]
         ]
-        label_of = self._intern.label_of
         return {
             "format": STATE_FORMAT
             if self.config.kernel == "scalar"
@@ -1275,8 +1354,8 @@ class StreamingGraphClusterer:
             "stats": self.stats.as_dict(),
             "intern": self._intern.labels(),
             "reservoir": reservoir_state,
-            "conn_vertices": [label_of(vid) for vid in self._conn.vertices()],
-            "conn_dirty": bool(getattr(self._conn, "dirty", False)),
+            "conn_vertices": self.vertices(),
+            "conn_dirty": conn_dirty,
             "rebuild_rng_state": self._rebuild_rng.getstate(),
             "graph": self._graph.get_state() if self._graph is not None else None,
         }

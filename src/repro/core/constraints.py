@@ -37,7 +37,12 @@ class ConstraintPolicy(abc.ABC):
         """True if edge ``{u, v}`` may be added to the sampled sub-graph.
 
         Called *before* the edge is inserted; implementations typically
-        inspect the components of ``u`` and ``v``.
+        inspect the components of ``u`` and ``v``. The built-in policies
+        query only ``connected``, ``component_size`` and
+        ``num_components``, so batched ingestion answers them from its
+        own sample component labels; a subclass defined elsewhere always
+        receives the full connectivity structure, and batched ingestion
+        applies its events one at a time.
         """
 
 

@@ -716,7 +716,10 @@ def _run_supervised_pool(
         # Enforce deadlines and notice silent deaths.
         now = monotonic()
         for shard in list(running):
-            process, deadline = running[shard]
+            entry = running.get(shard)
+            if entry is None:
+                continue  # settled by another shard's late report below
+            process, deadline = entry
             if now > deadline:
                 running.pop(shard)
                 process.terminate()

@@ -243,8 +243,10 @@ class ClusterService:
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._stop = loop.create_future()
-        await self.start()
+        # Handlers go in before start() signals readiness, so a SIGTERM
+        # sent as soon as the endpoint is announced still drains.
         self._install_signal_handlers(loop)
+        await self.start()
         try:
             code = await self._stop
         finally:

@@ -14,6 +14,7 @@ Three layers:
 """
 
 import os
+import select
 import signal
 import socket
 import subprocess
@@ -524,3 +525,55 @@ class TestServeCli:
         assert restored.position == len(events)
         _, expected = _inline_snapshot(_config(), events)
         assert render_snapshot(restored.clusterer.snapshot()) == expected
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+    def test_serve_sigterm_right_after_ready_line_drains(self, tmp_path):
+        """Regression: the readiness line used to precede the SIGTERM
+        handler, so a wrapper stopping the daemon as soon as it read
+        'serving on' killed it with -15 and no drain."""
+        sock = str(tmp_path / "svc.sock")
+        metrics = tmp_path / "metrics.json"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--capacity", "400", "--seed", "7", "--unix", sock,
+                "--checkpoint-dir", str(tmp_path / "ckpt"),
+                "--metrics-out", str(metrics),
+            ],
+            env=env, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            ready, _, _ = select.select([proc.stderr], [], [], 60.0)
+            assert ready, "daemon never announced its endpoint"
+            line = proc.stderr.readline()
+            assert line.startswith("serving on"), line
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=30.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        stderr = proc.stderr.read()
+        assert code == 0, stderr
+        assert "Traceback" not in stderr
+        # Both only happen on the graceful path: shutdown() removes the
+        # socket after draining, and the CLI writes metrics after run().
+        assert not os.path.exists(sock)
+        assert metrics.exists()
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+    def test_signal_handlers_installed_before_ready(self, tmp_path):
+        service = ClusterService(_config(), path=str(tmp_path / "svc.sock"))
+        default = signal.getsignal(signal.SIGTERM)
+        seen = []
+        start = service.start
+
+        async def observed_start():
+            await start()
+            seen.append(signal.getsignal(signal.SIGTERM))
+            service.request_shutdown(0)
+            return service
+
+        service.start = observed_start
+        assert service.run() == 0
+        assert seen and seen[0] is not default

@@ -1,10 +1,12 @@
 """Tests for the supervised parallel driver and deterministic faults."""
 
 import time
+from queue import Empty
 
 import pytest
 
 from repro.core import ClustererConfig, SupervisorConfig, cluster_stream_parallel
+from repro.core import sharded
 from repro.core.sharded import _shard_of, _stable_vertex_key
 from repro.streams import insert_delete_stream, planted_partition
 from repro.util.faults import CrashShard, HangShard, SimulatedCrash, kill_at_event
@@ -205,3 +207,70 @@ class TestKillAtEvent:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             list(kill_at_event(range(3), -1))
+
+
+class _FakeQueue:
+    def __init__(self):
+        self.items = []
+
+    def put(self, item):
+        self.items.append(item)
+
+    def get_nowait(self):
+        if not self.items:
+            raise Empty
+        return self.items.pop(0)
+
+    def close(self):
+        pass
+
+
+class _FakeProcess:
+    """Shard 0's first attempt dies silently; asking whether it is alive
+    lets shard 1's report arrive, so the supervisor reads that report as
+    the late one while shard 1 is still ahead in its deadline scan."""
+
+    def __init__(self, target, args, daemon):
+        task, _fault, self.attempt, self.queue = args
+        self.shard = task[0]
+        self.exitcode = None
+
+    def start(self):
+        if not (self.shard == 0 and self.attempt == 1):
+            if self.shard == 0:
+                self.queue.put((0, "ok", "result-0"))
+
+    def is_alive(self):
+        if self.shard == 0 and self.attempt == 1:
+            if self.exitcode is None:
+                self.exitcode = -9
+                self.queue.put((1, "ok", "result-1"))
+            return False
+        return True
+
+    def join(self, timeout=None):
+        pass
+
+    def terminate(self):
+        pass
+
+
+class _FakeContext:
+    def __init__(self):
+        self.queue = _FakeQueue()
+
+    def Queue(self):
+        return self.queue
+
+    def Process(self, target, args, daemon):
+        return _FakeProcess(target, args, daemon)
+
+
+def test_late_report_of_a_shard_not_yet_scanned(monkeypatch):
+    """Regression: a late report settling a shard that the deadline scan
+    has still to visit must not fail the scan with a KeyError."""
+    monkeypatch.setattr(sharded, "_mp_context", _FakeContext)
+    tasks = [(0, None, None, []), (1, None, None, [])]
+    supervisor = SupervisorConfig(timeout=None, backoff=0.0, poll_interval=0.001)
+    results = sharded._run_supervised_pool(tasks, supervisor, None, processes=2)
+    assert results == ["result-0", "result-1"]
