@@ -17,6 +17,11 @@ the committed baseline in ``bench_results/perf_smoke_baseline.json``:
   drop back to per-event ingestion;
 * the pipeline run (2 workers, spawn excluded from the clock) must end
   in exactly the partition sequential sharded execution reaches;
+* a file-to-labels case runs ``repro cluster FILE --lean`` on a prefix
+  of the lj_like edge list with each kernel (paired, order-balanced):
+  both get end-to-end floors, and numpy end to end must be at least as
+  fast as scalar end to end — parse, order and render included, so a
+  kernel win cannot hide behind a slow front end;
 * tracemalloc peak during a batched ingest must stay within
   ``MEMORY_TOLERANCE`` (20%) of the baseline — allocation volume is
   machine-independent, so this check is much tighter than the clocks.
@@ -35,6 +40,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -49,6 +56,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_common import dataset_events, environment_record  # noqa: E402
 
 from repro import obs  # noqa: E402
+from repro.cli import main as cli_main  # noqa: E402
 from repro.core import (  # noqa: E402
     ClustererConfig,
     MaxClusterSize,
@@ -59,7 +67,7 @@ from repro.core import (  # noqa: E402
 )
 from repro.datasets import load_dataset  # noqa: E402
 from repro.serve import ClusterService, ServiceClient  # noqa: E402
-from repro.streams import insert_delete_stream  # noqa: E402
+from repro.streams import insert_delete_stream, write_edge_list  # noqa: E402
 from repro.streams.events import EventColumns  # noqa: E402
 
 # bench_common enables metric emission for the experiment benchmarks;
@@ -85,6 +93,10 @@ OVERHEAD_ROUNDS = 20  # interleaved off/on round pairs for the overhead check
 CONSTRAINED_EVENTS = 20000  # prefix of the dblp_like 30%-churn stream
 CONSTRAINED_LIMIT = 400  # MaxClusterSize bound, as the churn workload sets it
 MIN_CONSTRAINED_RATIO = 2.0  # constrained batched >= 2x constrained per-event
+E2E_EVENTS = 100000  # lj_like edge-list prefix for the file-to-labels case
+E2E_CAPACITY = 5000
+E2E_BATCH_SIZE = 8192
+MIN_E2E_KERNEL_RATIO = 1.0  # numpy end to end >= scalar end to end
 
 
 def _ingest(
@@ -248,6 +260,42 @@ def measure_constrained() -> dict:
     }
 
 
+def _cluster_file(path: str, kernel: str, out: str) -> float:
+    """Wall time of one in-process ``repro cluster FILE --lean`` run."""
+    argv = [
+        "cluster", path, "--lean", "--kernel", kernel,
+        "--capacity", str(E2E_CAPACITY), "--seed", str(SEED),
+        "--batch-size", str(E2E_BATCH_SIZE), "--out", out,
+    ]
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli_main(argv)
+    elapsed = time.perf_counter() - start
+    if code != 0:
+        raise AssertionError(f"repro cluster exited {code}: {err.getvalue()}")
+    return elapsed
+
+
+def measure_end_to_end() -> dict:
+    """File-to-labels events/sec for each kernel, paired and
+    order-balanced like the kernel comparison (best of rounds)."""
+    dataset = load_dataset("lj_like", seed=SEED)
+    edges = dataset.edges[:E2E_EVENTS]
+    times = {"scalar": [], "numpy": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "prefix.edges")
+        write_edge_list(edges, path)
+        out = os.path.join(tmp, "found.labels")
+        for i in range(ROUNDS):
+            order = ("scalar", "numpy") if i % 2 == 0 else ("numpy", "scalar")
+            for kernel in order:
+                times[kernel].append(_cluster_file(path, kernel, out))
+    return {
+        "e2e_scalar_events_per_sec": round(len(edges) / min(times["scalar"])),
+        "e2e_numpy_events_per_sec": round(len(edges) / min(times["numpy"])),
+    }
+
+
 def peak_memory() -> dict:
     """tracemalloc peak during one batched ingest of the smoke prefix.
 
@@ -326,6 +374,7 @@ def main(argv=None) -> int:
 
     current = measure()
     current.update(measure_constrained())
+    current.update(measure_end_to_end())
     current.update(peak_memory())
     print(f"per-event: {current['per_event_events_per_sec']:,} ev/s")
     print(f"batched (batch={BATCH_SIZE}): {current['batched_events_per_sec']:,} ev/s")
@@ -349,6 +398,11 @@ def main(argv=None) -> int:
         f"constrained batched (batch={BATCH_SIZE}): "
         f"{current['constrained_batched_events_per_sec']:,} ev/s"
     )
+    print(
+        f"end to end, lean (lj_like prefix, batch={E2E_BATCH_SIZE}): "
+        f"scalar {current['e2e_scalar_events_per_sec']:,} ev/s, "
+        f"numpy {current['e2e_numpy_events_per_sec']:,} ev/s"
+    )
     print(f"peak ingest memory: {current['peak_ingest_bytes'] / 2**20:.1f} MiB")
 
     if args.update:
@@ -368,6 +422,8 @@ def main(argv=None) -> int:
         "pipeline_events_per_sec",
         "served_events_per_sec",
         "constrained_batched_events_per_sec",
+        "e2e_scalar_events_per_sec",
+        "e2e_numpy_events_per_sec",
     ):
         floor = baseline[key] * (1.0 - TOLERANCE)
         status = "ok" if current[key] >= floor else "REGRESSION"
@@ -403,6 +459,16 @@ def main(argv=None) -> int:
     )
     if constrained_ratio < MIN_CONSTRAINED_RATIO:
         failures.append("constrained batched/per-event ratio")
+
+    e2e_ratio = (
+        current["e2e_numpy_events_per_sec"] / current["e2e_scalar_events_per_sec"]
+    )
+    print(
+        f"numpy/scalar end-to-end ratio: {e2e_ratio:.2f}x "
+        f"(floor {MIN_E2E_KERNEL_RATIO}x)"
+    )
+    if e2e_ratio < MIN_E2E_KERNEL_RATIO:
+        failures.append("numpy/scalar end-to-end ratio")
 
     ceiling = baseline["peak_ingest_bytes"] * (1.0 + MEMORY_TOLERANCE)
     status = "ok" if current["peak_ingest_bytes"] <= ceiling else "REGRESSION"

@@ -81,6 +81,8 @@ from repro.quality import (
     nmi,
     pairwise_f1,
 )
+from repro.quality.partition import render_snapshot
+from repro.streams.io import _parse_vertex
 
 __all__ = ["main", "build_parser"]
 
@@ -283,24 +285,15 @@ def _read_labels(path: str) -> Partition:
             parts = stripped.split()
             if len(parts) != 2:
                 raise StreamError(f"{path}:{line_number}: expected 'vertex label'")
-            vertex = _parse(parts[0])
+            vertex = _parse_vertex(parts[0])
             labels[vertex] = parts[1]
     return Partition(labels)
-
-
-def _parse(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        return token
 
 
 def _write_labels(partition: Partition, path: Optional[str]) -> None:
     handle = open(path, "w", encoding="utf-8") if path else sys.stdout
     try:
-        for index, members in enumerate(partition.clusters()):
-            for vertex in sorted(members, key=repr):
-                handle.write(f"{vertex}\t{index}\n")
+        handle.write(render_snapshot(partition))
     finally:
         if path:
             handle.close()
@@ -382,8 +375,8 @@ def _run_cluster(args: argparse.Namespace) -> int:
     from repro.errors import CheckpointError
     from repro.persist import PeriodicCheckpointer
     from repro.streams import (
-        insert_only_stream_raw,
-        read_edge_list,
+        insert_only_ordered,
+        read_edge_columns,
         read_event_stream_raw,
     )
 
@@ -407,17 +400,21 @@ def _run_cluster(args: argparse.Namespace) -> int:
     strict_io = not args.skip_malformed
     batch_size = args.batch_size  # always >= 1 (parser-enforced)
     io_errors: List[str] = []
-    # With batching, events stay raw (kind, u, v) tuples end to end;
-    # apply_many canonicalizes in bulk. Either way the stream describes
-    # the same updates and yields the same clustering.
+    # Event files stream as raw (kind, u, v) tuples; an edge list is
+    # read whole into columns and sliced into batches. apply_many
+    # canonicalizes either shape in bulk, to the same clustering.
     if args.events:
         stream = read_event_stream_raw(
             args.input, strict=strict_io, errors=io_errors,
             intern=args.parallel == "pipeline",
         )
     else:
-        edges = read_edge_list(args.input, strict=strict_io, errors=io_errors)
-        stream = insert_only_stream_raw(edges, seed=args.seed)
+        stream = insert_only_ordered(
+            read_edge_columns(args.input, strict=strict_io, errors=io_errors),
+            seed=args.seed,
+        )
+        if args.parallel or args.inject_kill_after is not None or args.progress_every:
+            stream = stream.to_events()  # these consume a tuple stream
 
     if args.parallel == "pool" and args.checkpoint:
         raise CheckpointError(
@@ -639,8 +636,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _run_send(args: argparse.Namespace) -> int:
     from repro.serve import ServiceClient
     from repro.streams import (
-        insert_only_columns,
-        read_edge_list,
+        insert_only_ordered,
+        read_edge_columns,
         read_event_columns,
     )
 
@@ -651,8 +648,10 @@ def _run_send(args: argparse.Namespace) -> int:
             args.input, args.batch_size, strict=strict_io, errors=io_errors
         )
     else:
-        edges = read_edge_list(args.input, strict=strict_io, errors=io_errors)
-        batches = insert_only_columns(edges, args.batch_size, seed=args.seed)
+        batches = insert_only_ordered(
+            read_edge_columns(args.input, strict=strict_io, errors=io_errors),
+            seed=args.seed,
+        ).chunks(args.batch_size)
     endpoint = args.unix if args.unix else (args.host, args.port)
     with ServiceClient(
         endpoint,

@@ -426,8 +426,15 @@ class StreamingGraphClusterer:
         With ``batch_size`` (``None``/``0`` disables batching) the
         stream is consumed in chunks through :meth:`apply_many`; larger
         chunks amortize more per-event overhead at the cost of a longer
-        deferred-resolution horizon per chunk.
+        deferred-resolution horizon per chunk. A whole stream given as
+        :class:`EventColumns` is chunked by slicing.
         """
+        if type(events) is EventColumns:
+            if batch_size:
+                for chunk in events.chunks(batch_size):
+                    self.apply_many(chunk)
+                return self
+            events = events.to_events()
         if not batch_size:
             for event in events:
                 if type(event) is tuple:

@@ -277,11 +277,16 @@ class PeriodicCheckpointer:
         keeps the per-event path. Chunks never span more than one
         checkpoint interval — buffering past an interval would mean a
         crash mid-buffer loses events the per-event cadence would
-        already have checkpointed.
+        already have checkpointed. A whole stream given as
+        :class:`~repro.streams.events.EventColumns` is chunked by slicing.
         """
         if batch_size:
             if self.every:
                 batch_size = min(batch_size, self.every)
+            if type(events) is EventColumns:
+                for chunk in events.chunks(batch_size):
+                    self.apply_many(chunk)
+                return self
             iterator = iter(events)
             while True:
                 chunk = list(islice(iterator, batch_size))
@@ -293,7 +298,10 @@ class PeriodicCheckpointer:
         return self
 
     def remaining(self, events: Iterable[EdgeEvent]) -> Iterable[EdgeEvent]:
-        """The unprocessed tail of ``events`` given the current position."""
+        """The unprocessed tail of ``events`` given the current position
+        (a slice of whole-stream ``EventColumns``)."""
+        if type(events) is EventColumns:
+            return events.slice(self.position, len(events))
         return islice(iter(events), self.position, None)
 
     def __repr__(self) -> str:

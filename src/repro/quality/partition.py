@@ -11,7 +11,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set
 
 from repro.streams.events import Vertex
 
-__all__ = ["Partition"]
+__all__ = ["Partition", "render_snapshot"]
 
 
 class Partition:
@@ -181,3 +181,20 @@ class Partition:
             f"Partition(num_vertices={self.num_vertices}, "
             f"num_clusters={self.num_clusters})"
         )
+
+
+def render_snapshot(partition: Partition) -> str:
+    """Deterministic ``vertex<TAB>cluster`` rendering of a partition.
+
+    The one labels format: ``repro cluster`` and ``repro generate
+    --truth-out`` write it, and the service answers SNAPSHOT queries
+    with it (:mod:`repro.serve.protocol` re-exports it), so a served
+    snapshot can be diffed against an inline run's labels file
+    directly. Clusters come in :meth:`Partition.clusters` order with
+    ``repr``-sorted members.
+    """
+    lines: List[str] = []
+    for index, members in enumerate(partition.clusters()):
+        for vertex in sorted(members, key=repr):
+            lines.append(f"{vertex}\t{index}\n")
+    return "".join(lines)

@@ -48,6 +48,7 @@ from repro.streams.codec import (
     wire_message_parts,
 )
 from repro.streams.events import EventColumns
+from repro.streams.io import _parse_vertex
 
 __all__ = ["ServiceClient"]
 
@@ -61,13 +62,6 @@ _SEND_FLUSH_BYTES = 64 * 1024
 #: sendmsg buffer-count ceiling per flush, comfortably under any OS
 #: IOV_MAX (two buffers per frame: length/opcode prefix + payload).
 _SEND_FLUSH_BUFFERS = 64
-
-
-def _parse_vertex(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        return token
 
 
 class ServiceClient:

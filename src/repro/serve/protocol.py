@@ -44,7 +44,7 @@ import socket
 from typing import List, Tuple
 
 from repro.errors import ProtocolError
-from repro.quality.partition import Partition
+from repro.quality.partition import render_snapshot
 from repro.streams.codec import (
     DEFAULT_MAX_WIRE_BYTES,
     pack_wire_message,
@@ -200,22 +200,8 @@ def recv_message(
         raise ProtocolError(str(error)) from None
 
 
-def render_snapshot(partition: Partition) -> str:
-    """Deterministic ``vertex<TAB>cluster`` rendering of a partition.
-
-    Byte-identical to what ``repro cluster`` writes for the same
-    partition (same cluster enumeration, same ``repr``-sorted members),
-    so a served snapshot can be diffed against an inline run's labels
-    file directly.
-    """
-    lines: List[str] = []
-    for index, members in enumerate(partition.clusters()):
-        for vertex in sorted(members, key=repr):
-            lines.append(f"{vertex}\t{index}\n")
-    return "".join(lines)
-
-
 def render_membership(members) -> str:
     """One member per line, ``repr``-sorted — deterministic like
-    :func:`render_snapshot`."""
+    :func:`~repro.quality.partition.render_snapshot`, which this module
+    re-exports for the service's SNAPSHOT replies."""
     return "".join(f"{vertex}\n" for vertex in sorted(members, key=repr))

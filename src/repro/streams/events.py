@@ -109,8 +109,9 @@ class EdgeEvent:
 class EventColumns:
     """A batch of raw events in column (struct-of-arrays) form.
 
-    The batch readers (:func:`repro.streams.io.read_event_columns`,
-    :func:`repro.streams.io.insert_only_columns`) emit these so the
+    The column readers (:func:`repro.streams.io.read_edge_columns`,
+    :func:`repro.streams.io.read_event_columns`,
+    :func:`repro.streams.order.insert_only_columns`) emit these so the
     numpy batch kernel can consume a whole batch without building a
     tuple per event. ``kinds`` is ``None`` when *every* event in the
     batch is an ``ADD_EDGE`` — the overwhelmingly common case, which
@@ -118,15 +119,30 @@ class EventColumns:
     tuples, columns are neither validated nor canonicalized here;
     ``apply_many`` does both in bulk.
 
-    Columns are lists from the stream readers but may be numpy int64
-    arrays when they come off the columnar wire decode
-    (:mod:`repro.streams.codec`, version-3 frames); every consumer of
-    ``us``/``vs`` must handle both.
+    Columns are numpy int64 arrays when every label is an int that fits
+    (the edge-list readers, :meth:`of_labels`, and the columnar wire
+    decode of :mod:`repro.streams.codec`) and lists otherwise; every
+    consumer of ``us``/``vs`` must handle both.
     """
 
     us: list
     vs: list
     kinds: Optional[list] = None
+
+    @classmethod
+    def of_labels(cls, us: list, vs: list) -> "EventColumns":
+        """ADD_EDGE columns for two label lists: int64 arrays when every
+        label is exactly ``int`` (not ``bool``) and fits, else the
+        lists themselves."""
+        if us and set(map(type, us)) == {int} == set(map(type, vs)):
+            import numpy as np
+
+            try:
+                return cls(us=np.array(us, dtype=np.int64),
+                           vs=np.array(vs, dtype=np.int64))
+            except OverflowError:
+                pass
+        return cls(us=us, vs=vs)
 
     def __len__(self) -> int:
         return len(self.us)
@@ -152,6 +168,25 @@ class EventColumns:
         kinds = None if self.kinds is None else self.kinds[start:stop]
         return EventColumns(
             us=self.us[start:stop], vs=self.vs[start:stop], kinds=kinds
+        )
+
+    def chunks(self, size: int) -> Iterator["EventColumns"]:
+        """Consecutive sub-batches of ``size`` events (the last may be
+        shorter), the way ``process(..., batch_size=size)`` cuts a
+        stream."""
+        for start in range(0, len(self.us), size):
+            yield self.slice(start, start + size)
+
+    def take(self, index) -> "EventColumns":
+        """The events at positions ``index`` (an int array), in order."""
+
+        def pick(column):
+            if type(column) is list:
+                return [column[i] for i in index.tolist()]
+            return None if column is None else column[index]
+
+        return EventColumns(
+            us=pick(self.us), vs=pick(self.vs), kinds=pick(self.kinds)
         )
 
 

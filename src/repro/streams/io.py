@@ -13,6 +13,19 @@ Formats
     -v u       # delete vertex
 
 Vertex ids are parsed as ints when possible, kept as strings otherwise.
+Files are UTF-8; a line that is not is malformed (``file:line: invalid
+UTF-8``), like any other.
+
+Columnar edge lists
+-------------------
+:func:`read_edge_columns` reads a whole edge-list file as bytes and
+parses it with ``np.loadtxt`` straight into int64 columns — when the
+file is plain: ASCII, labels that are ints fitting in int64, ``\r`` only
+in CRLF line ends, comments that start a line or follow a blank, at
+least two ids per line and no self-loop. Any other file is read by the
+line parser, which is the reference: the fast path returns exactly the
+edges it would, or declines, so every error is still reported by the
+line parser with its ``file:line``.
 
 Error handling mirrors the clusterer's ``strict`` semantics: by default
 a malformed line raises :class:`~repro.errors.StreamError` with
@@ -32,8 +45,12 @@ silently; a clean run means the input contained none.
 
 from __future__ import annotations
 
+import io
+import warnings
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, TextIO, Union
+
+import numpy as np
 
 from repro.errors import StreamError
 from repro.streams.events import (
@@ -42,13 +59,10 @@ from repro.streams.events import (
     EventColumns,
     EventKind,
     RawEvent,
-    add_edge,
-    add_vertex,
-    delete_edge,
-    delete_vertex,
 )
 
 __all__ = [
+    "read_edge_columns",
     "read_edge_list",
     "write_edge_list",
     "read_event_stream",
@@ -63,8 +77,21 @@ PathOrFile = Union[str, Path, TextIO]
 
 def _open_for_read(source: PathOrFile):
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8"), True
+        # Undecodable bytes become lone surrogates that _undecodable
+        # reports against their line instead of aborting the read.
+        return open(source, "r", encoding="utf-8", errors="surrogateescape"), True
     return source, False
+
+
+def _undecodable(line: str) -> bool:
+    """Did ``line`` come from bytes that are not UTF-8?"""
+    if line.isascii():
+        return False
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def _source_name(source: PathOrFile) -> str:
@@ -94,40 +121,122 @@ def read_edge_list(
 ) -> List[Edge]:
     """Parse an edge-list file; skips comments and blank lines.
 
-    A malformed line — too few fields, or a self-loop (see the module
-    docstring) — raises :class:`StreamError` with ``file:line`` context
-    when ``strict`` (the default). With ``strict=False`` it is skipped
-    instead; pass a list as ``errors`` to collect one message per
-    skipped line (``len(errors)`` is the malformed-line count).
+    A malformed line — too few fields, a self-loop (see the module
+    docstring) or bytes that are not UTF-8 — raises
+    :class:`StreamError` with ``file:line`` context when ``strict`` (the
+    default). With ``strict=False`` it is skipped instead; pass a list
+    as ``errors`` to collect one message per skipped line
+    (``len(errors)`` is the malformed-line count). Columns after the
+    second are ignored.
     """
-    name = _source_name(source)
-    handle, owned = _open_for_read(source)
+    columns = read_edge_columns(source, strict=strict, errors=errors)
+    us, vs = columns.us, columns.vs
+    if type(us) is not list:
+        us, vs = us.tolist(), vs.tolist()
+    return list(zip(us, vs))
+
+
+def read_edge_columns(
+    source: PathOrFile,
+    *,
+    strict: bool = True,
+    errors: Optional[List[str]] = None,
+) -> EventColumns:
+    """:func:`read_edge_list` as one :class:`EventColumns` in file order.
+
+    The columns are int64 arrays when every label is an int that fits
+    (see the module docstring for the columnar fast path) and lists of
+    labels otherwise. Errors are exactly :func:`read_edge_list`'s.
+    """
+    if not isinstance(source, (str, Path)):
+        return _parse_edge_lines(source, _source_name(source), strict, errors)
+    with open(source, "rb") as handle:
+        data = handle.read()
+    columns = _int_edge_columns(data)
+    if columns is not None:
+        return columns
+    text = io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape"
+    )
+    return _parse_edge_lines(text, str(source), strict, errors)
+
+
+#: Bytes outside comments that keep a file on the columnar fast path.
+_PLAIN_EDGE_BYTES = b"0123456789+- \t\r\n"
+
+
+def _int_edge_columns(data: bytes) -> Optional[EventColumns]:
+    """``data``'s edges as int64 columns, or None when the line parser
+    might read it differently or find a malformed line."""
+    if not data.isascii() or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    body = data
+    if b"#" in data:
+        pieces = []
+        start = 0
+        while True:
+            mark = data.find(b"#", start)
+            if mark < 0:
+                pieces.append(data[start:])
+                break
+            if mark and data[mark - 1] not in b" \t\n":
+                return None  # glued to a label, which the line parser keeps
+            pieces.append(data[start:mark])
+            start = data.find(b"\n", mark)
+            if start < 0:
+                break
+        body = b"".join(pieces)
+    if body.translate(None, _PLAIN_EDGE_BYTES):
+        return None
     try:
-        edges: List[Edge] = []
-        for line_number, line in enumerate(handle, start=1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file warns
+            table = np.loadtxt(
+                io.BytesIO(body), dtype=np.int64, comments=None,
+                usecols=(0, 1), ndmin=2, encoding="latin1",
+            )
+    except (ValueError, OverflowError):
+        return None
+    us, vs = table[:, 0], table[:, 1]
+    if (us == vs).any():
+        return None
+    return EventColumns(us=us, vs=vs)
+
+
+def _parse_edge_lines(
+    handle, name: str, strict: bool, errors: Optional[List[str]]
+) -> EventColumns:
+    """The line parser: the reference for every edge-list reader."""
+    us: list = []
+    vs: list = []
+    for line_number, line in enumerate(handle, start=1):
+        if _undecodable(line):
+            message = f"{name}:{line_number}: invalid UTF-8"
+        else:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             parts = stripped.split()
             if len(parts) < 2:
-                message = f"{name}:{line_number}: expected two vertex ids: {stripped!r}"
+                message = (
+                    f"{name}:{line_number}: expected two vertex ids: "
+                    f"{stripped!r}"
+                )
             else:
                 u, v = _parse_vertex(parts[0]), _parse_vertex(parts[1])
                 if u != v:
-                    edges.append((u, v))
+                    us.append(u)
+                    vs.append(v)
                     continue
                 message = (
                     f"{name}:{line_number}: self-loop edges are not "
                     f"allowed: ({u!r}, {v!r})"
                 )
-            if strict:
-                raise StreamError(message)
-            if errors is not None:
-                errors.append(message)
-        return edges
-    finally:
-        if owned:
-            handle.close()
+        if strict:
+            raise StreamError(message)
+        if errors is not None:
+            errors.append(message)
+    return EventColumns.of_labels(us, vs)
 
 
 def write_edge_list(edges: Iterable[Edge], target: PathOrFile) -> int:
@@ -182,37 +291,11 @@ def read_event_stream(
     context when ``strict`` (the default). With ``strict=False`` it is
     skipped instead; pass a list as ``errors`` to collect one message
     per skipped line — mirroring the clusterer's own ``strict`` knob, so
-    a long-running ingest can tolerate occasional bad records.
+    a long-running ingest can tolerate occasional bad records. Parsing
+    and errors are :func:`read_event_stream_raw`'s.
     """
-    name = _source_name(source)
-    handle, owned = _open_for_read(source)
-    try:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            op = parts[0]
-            try:
-                if op == "+" and len(parts) == 3:
-                    yield add_edge(_parse_vertex(parts[1]), _parse_vertex(parts[2]))
-                elif op == "-" and len(parts) == 3:
-                    yield delete_edge(_parse_vertex(parts[1]), _parse_vertex(parts[2]))
-                elif op == "+v" and len(parts) == 2:
-                    yield add_vertex(_parse_vertex(parts[1]))
-                elif op == "-v" and len(parts) == 2:
-                    yield delete_vertex(_parse_vertex(parts[1]))
-                else:
-                    raise ValueError(f"unrecognized event syntax: {stripped!r}")
-            except ValueError as error:
-                message = f"{name}:{line_number}: {error}"
-                if strict:
-                    raise StreamError(message) from None
-                if errors is not None:
-                    errors.append(message)
-    finally:
-        if owned:
-            handle.close()
+    for kind, u, v in read_event_stream_raw(source, strict=strict, errors=errors):
+        yield EdgeEvent(kind, u, v)
 
 
 _RAW_KIND = {
@@ -261,6 +344,13 @@ def read_event_stream_raw(
     cache: Optional[dict] = {} if intern else None
     try:
         for line_number, line in enumerate(handle, start=1):
+            if not line.isascii() and _undecodable(line):
+                message = f"{name}:{line_number}: invalid UTF-8"
+                if strict:
+                    raise StreamError(message)
+                if errors is not None:
+                    errors.append(message)
+                continue
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue

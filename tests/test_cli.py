@@ -363,6 +363,27 @@ class TestErrorHandling:
         assert "skipped 1 malformed" in capsys.readouterr().err
         assert len(labels.read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("name, data, extra", [
+        ("bad.edges", b"1 2\n\xff\xfe 3\n2 3\n", []),
+        ("bad.events", b"+ 1 2\n+ \xff\xfe 3\n+ 2 3\n", ["--events"]),
+    ])
+    def test_invalid_utf8_is_malformed_input(
+        self, tmp_path, capsys, name, data, extra
+    ):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        assert main(["cluster", str(bad), "--capacity", "10", *extra]) == 2
+        err = capsys.readouterr().err
+        assert f"{name}:2: invalid UTF-8" in err and "Traceback" not in err
+        labels = tmp_path / "out.labels"
+        code = main([
+            "cluster", str(bad), "--capacity", "10", *extra,
+            "--skip-malformed", "--out", str(labels),
+        ])
+        assert code == 0
+        assert "skipped 1 malformed" in capsys.readouterr().err
+        assert labels.read_text() == "1\t0\n2\t0\n3\t0\n"
+
     def test_malformed_event_stream_exit_nonzero(self, tmp_path, capsys):
         stream = tmp_path / "s.events"
         stream.write_text("+ 1 2\n* nonsense\n")
