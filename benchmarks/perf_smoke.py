@@ -21,7 +21,10 @@ the committed baseline in ``bench_results/perf_smoke_baseline.json``:
   of the lj_like edge list with each kernel (paired, order-balanced):
   both get end-to-end floors, and numpy end to end must be at least as
   fast as scalar end to end — parse, order and render included, so a
-  kernel win cannot hide behind a slow front end;
+  kernel win cannot hide behind a slow front end; in the same case,
+  the output step in process (``snapshot()`` + ``render_snapshot()``)
+  must cost at most ``MAX_OUTPUT_RATIO`` of ``process()``, so cluster
+  extraction and label rendering cannot fall back to per-object work;
 * tracemalloc peak during a batched ingest must stay within
   ``MEMORY_TOLERANCE`` (20%) of the baseline — allocation volume is
   machine-independent, so this check is much tighter than the clocks.
@@ -66,8 +69,11 @@ from repro.core import (  # noqa: E402
     Unconstrained,
 )
 from repro.datasets import load_dataset  # noqa: E402
+from repro.quality.partition import render_snapshot  # noqa: E402
 from repro.serve import ClusterService, ServiceClient  # noqa: E402
 from repro.streams import insert_delete_stream, write_edge_list  # noqa: E402
+from repro.streams.io import read_edge_columns  # noqa: E402
+from repro.streams.order import insert_only_ordered  # noqa: E402
 from repro.streams.events import EventColumns  # noqa: E402
 
 # bench_common enables metric emission for the experiment benchmarks;
@@ -97,6 +103,7 @@ E2E_EVENTS = 100000  # lj_like edge-list prefix for the file-to-labels case
 E2E_CAPACITY = 5000
 E2E_BATCH_SIZE = 8192
 MIN_E2E_KERNEL_RATIO = 1.0  # numpy end to end >= scalar end to end
+MAX_OUTPUT_RATIO = 0.6  # snapshot() + render_snapshot() <= 0.6x process()
 
 
 def _ingest(
@@ -276,9 +283,31 @@ def _cluster_file(path: str, kernel: str, out: str) -> float:
     return elapsed
 
 
+def _output_step_ratio(path: str) -> float:
+    """In-process split of the file-to-labels case (numpy kernel, lean):
+    the output step, ``snapshot()`` + ``render_snapshot()``, over
+    ``process()`` — best of rounds for each."""
+    config = ClustererConfig(
+        reservoir_capacity=E2E_CAPACITY, seed=SEED, kernel="numpy",
+        track_graph=False, strict=False,
+    )
+    process_times, output_times = [], []
+    for _ in range(ROUNDS):
+        stream = insert_only_ordered(read_edge_columns(path), seed=SEED)
+        clusterer = StreamingGraphClusterer(config)
+        start = time.perf_counter()
+        clusterer.process(stream, batch_size=E2E_BATCH_SIZE)
+        processed = time.perf_counter()
+        render_snapshot(clusterer.snapshot())
+        output_times.append(time.perf_counter() - processed)
+        process_times.append(processed - start)
+    return min(output_times) / min(process_times)
+
+
 def measure_end_to_end() -> dict:
     """File-to-labels events/sec for each kernel, paired and
-    order-balanced like the kernel comparison (best of rounds)."""
+    order-balanced like the kernel comparison (best of rounds), and the
+    in-process output-step ratio on the same file."""
     dataset = load_dataset("lj_like", seed=SEED)
     edges = dataset.edges[:E2E_EVENTS]
     times = {"scalar": [], "numpy": []}
@@ -290,9 +319,11 @@ def measure_end_to_end() -> dict:
             order = ("scalar", "numpy") if i % 2 == 0 else ("numpy", "scalar")
             for kernel in order:
                 times[kernel].append(_cluster_file(path, kernel, out))
+        output_ratio = _output_step_ratio(path)
     return {
         "e2e_scalar_events_per_sec": round(len(edges) / min(times["scalar"])),
         "e2e_numpy_events_per_sec": round(len(edges) / min(times["numpy"])),
+        "e2e_output_ratio": round(output_ratio, 3),
     }
 
 
@@ -469,6 +500,14 @@ def main(argv=None) -> int:
     )
     if e2e_ratio < MIN_E2E_KERNEL_RATIO:
         failures.append("numpy/scalar end-to-end ratio")
+
+    output_ratio = current["e2e_output_ratio"]
+    print(
+        f"output step (snapshot + render) / process(): {output_ratio:.2f}x "
+        f"(ceiling {MAX_OUTPUT_RATIO}x)"
+    )
+    if output_ratio > MAX_OUTPUT_RATIO:
+        failures.append("output-step ratio")
 
     ceiling = baseline["peak_ingest_bytes"] * (1.0 + MEMORY_TOLERANCE)
     status = "ok" if current["peak_ingest_bytes"] <= ceiling else "REGRESSION"

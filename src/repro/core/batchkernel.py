@@ -36,8 +36,8 @@ on it — clusters are extracted from the reservoir directly. The numpy
 kernel therefore reports ``component_merges``/``component_splits`` as
 **interval-granular estimates**: pending batches are settled lazily (on
 stats access, metrics sync, checkpoint, or any per-event fallback) by
-three vectorized connected-components passes over the sampled edge set
-(before / before+admitted / after). Merges are exact for the interval
+three :func:`~repro.sampling.vectorized.edge_components` passes over the
+sampled edge set (before / before+admitted / after). Merges are exact for the interval
 treated as one bulk update; splits are a lower bound (a component that
 splits and re-merges within one interval is not observed). This mirrors
 the documented conservative statistics of the lazy backend. All other

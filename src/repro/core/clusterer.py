@@ -49,8 +49,9 @@ actually needs it (a per-event :meth:`apply` or a vertex deletion).
 Admission constraints are decided on exact component labels the batch
 loop keeps over the sample, never on the deferred structure. Clustering
 queries between batches are answered from the reservoir directly via a
-cached vertex → component labelling, so the end-to-end result —
-partition, statistics, reservoir content, and RNG state — is identical
+cached array of component roots, one per vertex id
+(:func:`~repro.sampling.vectorized.component_roots`), so the end-to-end
+result — partition, statistics, reservoir content, and RNG state — is identical
 to the per-event path (property-tested in
 ``tests/test_apply_many_property.py``). See ``docs/performance.md``.
 """
@@ -61,6 +62,8 @@ from dataclasses import dataclass
 from itertools import islice
 from sys import getsizeof, maxsize
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
+
+import numpy as np
 
 from repro.connectivity import make_connectivity
 from repro.connectivity.offline import resolve_sample_timeline
@@ -79,6 +82,7 @@ from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.intern import VertexInterner
 from repro.quality.partition import Partition
 from repro.sampling.random_pairing import NOT_ADMITTED, PackedEdgeReservoir
+from repro.sampling.vectorized import component_roots
 from repro.streams.events import (
     Edge,
     EdgeEvent,
@@ -140,6 +144,16 @@ def _decides_on_sample(constraint: ConstraintPolicy) -> bool:
     if type(constraint) is CompositeConstraint:
         return all(_decides_on_sample(policy) for policy in constraint.policies)
     return type(constraint) in (Unconstrained, MaxClusterSize, MinClusterCount)
+
+
+def _through_roots(roots: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``ends`` mapped through the cached component ``roots``; ids the
+    roots do not cover (fresh, or not live) stand for themselves."""
+    size = roots.size
+    if not size:
+        return ends
+    mapped = roots[np.minimum(ends, size - 1)]
+    return np.where((ends < size) & (mapped >= 0), mapped, ends)
 
 
 class _SampleComponents:
@@ -241,13 +255,17 @@ class StreamingGraphClusterer:
         self._comp_size: Dict[int, int] = {}
         self._comp_next = 0
         self._comp_dirty = False
-        # Cached cluster extraction (id -> representative id),
-        # invalidated by structural changes.
-        self._labels_cache: Optional[Dict[int, int]] = None
+        # Cached cluster extraction, invalidated by structural changes:
+        # the component root of every interned id (-1 for ids that are
+        # not live vertices), the members index over it, and the
+        # partition built from it.
+        self._labels_cache: Optional[np.ndarray] = None
+        self._members_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._partition_cache: Optional[Partition] = None
-        #: Number of times a partition was actually (re)built by
-        #: :meth:`snapshot` — a probe counter for cache-effectiveness
-        #: tests and benchmarks; not part of the persisted state.
+        #: Number of :class:`Partition` objects :meth:`snapshot` built —
+        #: a probe counter for cache-effectiveness tests and benchmarks
+        #: (cluster queries answer from the root array and never build
+        #: one); not part of the persisted state.
         self.partition_builds = 0
         #: Probe counters for the batched fast path's degradation modes
         #: (like ``partition_builds``, not persisted): how often a batch
@@ -527,7 +545,7 @@ class StreamingGraphClusterer:
         split_check = self._split_components
         view = _SampleComponents(comp, comp_size, conn_ids)
         n_merges = n_splits = n_vetoes = 0
-        base_labels = self._labels_cache  # pre-batch components, if current
+        base_labels = self._labels_cache  # pre-batch component roots, if current
         ops: List[Tuple[bool, int, int]] = []
         n_events = n_adds = n_deletes = n_vadds = 0
         n_admitted = n_evicted = n_sample_del = n_malformed = 0
@@ -990,7 +1008,7 @@ class StreamingGraphClusterer:
 
     def _resolve_ops(
         self,
-        base_labels: Optional[Dict[int, int]],
+        base_labels: Optional[np.ndarray],
         ops: List[Tuple[bool, int, int]],
     ) -> Tuple[int, int]:
         """Exact merge/split counts for a batch's sample mutations.
@@ -1047,11 +1065,18 @@ class StreamingGraphClusterer:
                     need_base = True
                     break
         base_edges: Iterable[Tuple[int, int]] = ()
+        label_map: Optional[Dict[int, int]] = None
         if need_base:
             base_edges = [
                 (key >> 32, key & _MASK32) for key in self._pre_batch_sample(ops)
             ]
-        flags = resolve_sample_timeline(base_edges, ops, base_labels=base_labels)
+        else:
+            # The resolver looks up only the ops' endpoints.
+            ends = np.array([op[1:] for op in ops], dtype=np.int64).ravel()
+            label_map = dict(
+                zip(ends.tolist(), _through_roots(base_labels, ends).tolist())
+            )
+        flags = resolve_sample_timeline(base_edges, ops, base_labels=label_map)
         merges = splits = 0
         for op, flag in zip(ops, flags):
             if flag:
@@ -1063,7 +1088,7 @@ class StreamingGraphClusterer:
 
     def _count_insert_merges(
         self,
-        base_labels: Optional[Dict[int, int]],
+        base_labels: Optional[np.ndarray],
         inserts: List[Tuple[bool, int, int]],
         all_ops: List[Tuple[bool, int, int]],
     ) -> int:
@@ -1082,10 +1107,10 @@ class StreamingGraphClusterer:
             for _, u, v in inserts:
                 if union(u, v):
                     merges += 1
-        else:
-            get_label = base_labels.get
-            for _, u, v in inserts:
-                if union(get_label(u, u), get_label(v, v)):
+        elif inserts:
+            ends = np.array([op[1:] for op in inserts], dtype=np.int64)
+            for u, v in _through_roots(base_labels, ends).tolist():
+                if union(u, v):
                     merges += 1
         return merges
 
@@ -1119,6 +1144,7 @@ class StreamingGraphClusterer:
 
     def _invalidate(self) -> None:
         self._labels_cache = None
+        self._members_cache = None
         self._partition_cache = None
         self.structure_version += 1
 
@@ -1480,25 +1506,45 @@ class StreamingGraphClusterer:
     # ------------------------------------------------------------------
     # Clustering queries
     # ------------------------------------------------------------------
-    def _labels(self) -> Dict[int, int]:
-        """Vertex id → component-representative id over the current sample.
+    def _labels(self) -> np.ndarray:
+        """Component root of every interned id over the current sample.
 
-        Built directly from the reservoir and the vertex universe (both
-        always current, even while connectivity updates are deferred) and
-        cached until the next structural change.
+        Entry ``i`` is the smallest id in ``i``'s component, or -1 when
+        ``i`` is not a live vertex (deleted, or interned by a malformed
+        event). Built from the reservoir and the vertex universe (both
+        always current, even while connectivity updates are deferred) in
+        one :func:`component_roots` pass, and cached until the next
+        structural change.
         """
-        labels = self._labels_cache
-        if labels is None:
-            uf = UnionFind()
-            union = uf.union
-            for key in self._reservoir:
-                union(key >> 32, key & _MASK32)
-            find = uf.find
-            labels = {vid: find(vid) for vid in self._conn.vertices()}
-            for vid in self._conn_fresh:
-                labels[vid] = find(vid)
-            self._labels_cache = labels
-        return labels
+        roots = self._labels_cache
+        if roots is None:
+            keys = np.frombuffer(self._reservoir._slots, dtype=np.uint64)
+            roots = component_roots(len(self._intern), keys)
+            live = self._conn_ids
+            if len(live) < roots.size:
+                dead = np.ones(roots.size, dtype=bool)
+                dead[np.fromiter(live, dtype=np.int64, count=len(live))] = False
+                roots[dead] = -1
+            self._labels_cache = roots
+        return roots
+
+    def _root_of(self, uid: int) -> int:
+        """``uid``'s component root, or -1 if the cached roots do not
+        hold it as a live vertex."""
+        roots = self._labels()
+        return int(roots[uid]) if uid < roots.size else -1
+
+    def _member_ids(self, root: int) -> np.ndarray:
+        """Ids whose component root is ``root`` (one argsort of the
+        roots, cached with them; callers do not depend on member order)."""
+        index = self._members_cache
+        if index is None:
+            roots = self._labels()
+            by_root = np.argsort(roots)
+            index = self._members_cache = (by_root, roots[by_root])
+        by_root, sorted_roots = index
+        lo, hi = np.searchsorted(sorted_roots, [root, root + 1]).tolist()
+        return by_root[lo:hi]
 
     def cluster_id(self, v: Vertex) -> object:
         """Opaque id of ``v``'s cluster, valid until the next update."""
@@ -1506,9 +1552,9 @@ class StreamingGraphClusterer:
         if uid is None:
             return frozenset({v})
         if self._conn_stale:
-            labels = self._labels()
-            if uid in labels:
-                return labels[uid]
+            root = self._root_of(uid)
+            if root >= 0:
+                return root
         members = getattr(self._conn, "component_id", None)
         if members is not None:
             return members(uid)
@@ -1519,11 +1565,11 @@ class StreamingGraphClusterer:
         uid = self._intern.id_of(v)
         if uid is None:
             return frozenset({v})
-        if self._conn_stale:
-            partition = self.snapshot()
-            if v in partition:
-                return partition.members(partition.label_of(v))
         label_of = self._intern.label_of
+        if self._conn_stale:
+            root = self._root_of(uid)
+            if root >= 0:
+                return frozenset(map(label_of, self._member_ids(root).tolist()))
         return frozenset(
             label_of(member) for member in self._conn.component_members(uid)
         )
@@ -1534,9 +1580,9 @@ class StreamingGraphClusterer:
         if uid is None:
             return 1
         if self._conn_stale:
-            partition = self.snapshot()
-            if v in partition:
-                return len(partition.members(partition.label_of(v)))
+            root = self._root_of(uid)
+            if root >= 0:
+                return int(self._member_ids(root).size)
         return self._conn.component_size(uid)
 
     def same_cluster(self, u: Vertex, v: Vertex) -> bool:
@@ -1549,18 +1595,18 @@ class StreamingGraphClusterer:
             # structures' documented unknown-vertex contract).
             return u == v
         if self._conn_stale:
-            labels = self._labels()
-            label_u = labels.get(uid)
-            label_v = labels.get(vid)
-            if label_u is not None and label_v is not None:
-                return label_u == label_v
+            root_u = self._root_of(uid)
+            root_v = self._root_of(vid)
+            if root_u >= 0 and root_v >= 0:
+                return root_u == root_v
         return self._conn.connected(uid, vid)
 
     @property
     def num_clusters(self) -> int:
         """Number of clusters (components of the sampled sub-graph)."""
         if self._conn_stale:
-            return self.snapshot().num_clusters
+            roots = self._labels()
+            return int(np.count_nonzero(roots == np.arange(roots.size)))
         return self._conn.num_components
 
     @property
@@ -1573,27 +1619,23 @@ class StreamingGraphClusterer:
     def snapshot(self) -> Partition:
         """The current clustering as an immutable :class:`Partition`.
 
-        Cached until the next structural change (admission, sample
-        deletion, or vertex-set change), so repeated quality probes
-        between updates cost a dict lookup, not a re-extraction.
+        Array-backed (:meth:`Partition.from_codes`): live vertices in id
+        order, each labelled with its component root id. Cached until
+        the next structural change (admission, sample deletion, or
+        vertex-set change), so repeated quality probes between updates
+        cost a dict lookup, not a re-extraction.
         """
         partition = self._partition_cache
         if partition is None:
-            label_of = self._intern.label_of
-            if self._conn_stale:
-                partition = Partition(
-                    {
-                        label_of(vid): label_of(rep)
-                        for vid, rep in self._labels().items()
-                    }
+            roots = self._labels()
+            names = self._intern._labels
+            if roots.size and roots.min() < 0:
+                live = np.flatnonzero(roots >= 0)
+                partition = Partition.from_codes(
+                    [names[vid] for vid in live.tolist()], roots[live]
                 )
             else:
-                partition = Partition.from_clusters(
-                    [
-                        {label_of(member) for member in members}
-                        for members in self._conn.components()
-                    ]
-                )
+                partition = Partition.from_codes(names[: roots.size], roots)
             self._partition_cache = partition
             self.partition_builds += 1
             if _obs._ENABLED:

@@ -505,6 +505,12 @@ class ShardResult:
     error: Optional[str] = None
 
 
+#: Seconds a supervised pool worker may take to launch its interpreter
+#: and import the package before the attempt fails (bounded attempts
+#: only; ``SupervisorConfig.timeout`` counts from the end of start-up).
+STARTUP_TIMEOUT = 60.0
+
+
 @dataclass
 class SupervisorConfig:
     """Fault-tolerance policy for :func:`cluster_stream_parallel`.
@@ -516,6 +522,12 @@ class SupervisorConfig:
     ``max_attempts`` total attempts. A shard that fails permanently is
     dropped from the merge with a warning and a tombstone
     :class:`ShardResult` — the run degrades instead of hanging.
+
+    The ``timeout`` clock starts when the worker reports that it has
+    started, so interpreter launch and imports (a fresh ``spawn``
+    interpreter per attempt) never count against it. Until then a
+    bounded attempt gets :data:`STARTUP_TIMEOUT` seconds; with
+    ``timeout=None`` start-up is unbounded too.
     """
 
     timeout: Optional[float] = 60.0
@@ -577,6 +589,7 @@ def _worker_entry(task, fault, attempt: int, queue) -> None:
     the tombstone result.
     """
     shard = task[0]
+    queue.put((shard, "started", attempt))
     try:
         result = _run_shard(*task, fault, attempt)
         queue.put((shard, "ok", result))
@@ -646,7 +659,8 @@ def _run_supervised_pool(
 ) -> List[ShardResult]:
     """Run shard attempts in supervised worker processes.
 
-    At most ``processes`` workers run concurrently. Each has a deadline;
+    At most ``processes`` workers run concurrently. Each has a deadline
+    (:data:`STARTUP_TIMEOUT` until it reports started, then ``timeout``);
     deadline overruns are terminated. Failed attempts (crash, timeout,
     exit-without-result) are rescheduled with backoff until the attempt
     budget is spent, at which point the shard gets a tombstone result.
@@ -661,7 +675,11 @@ def _run_supervised_pool(
     results: Dict[int, ShardResult] = {}
     # (ready_time, shard) — shards waiting for a free worker slot.
     waiting: List[Tuple[float, int]] = [(0.0, task[0]) for task in tasks]
-    running: Dict[int, Tuple[object, float]] = {}  # shard -> (process, deadline)
+    # shard -> (process, deadline, error to report if the deadline passes)
+    running: Dict[int, Tuple[object, float, str]] = {}
+
+    def deadline_after(limit: Optional[float]) -> float:
+        return monotonic() + limit if limit is not None else float("inf")
 
     def reap(shard: int, process, error: str) -> None:
         process.join(timeout=5.0)
@@ -672,6 +690,37 @@ def _run_supervised_pool(
         else:
             retry_at = monotonic() + supervisor.delay_before(attempts[shard] + 1)
             waiting.append((retry_at, shard))
+
+    def settle(shard: int, status: str, payload) -> None:
+        """Apply one worker report to the shard's current attempt."""
+        entry = running.get(shard)
+        if entry is None:
+            return  # late report from a terminated worker
+        process = entry[0]
+        if status == "started":
+            # The attempt number drops a terminated attempt's late start.
+            if payload == attempts[shard]:
+                running[shard] = (
+                    process,
+                    deadline_after(supervisor.timeout),
+                    f"timeout after {supervisor.timeout}s",
+                )
+            return
+        running.pop(shard)
+        if status == "ok":
+            results[shard] = payload
+            process.join(timeout=5.0)
+        else:
+            reap(shard, process, payload)
+
+    def drain() -> None:
+        # Results must be consumed before join.
+        while True:
+            try:
+                report = queue.get_nowait()
+            except Empty:
+                return
+            settle(*report)
 
     while waiting or running:
         now = monotonic()
@@ -691,27 +740,14 @@ def _run_supervised_pool(
                 daemon=True,
             )
             process.start()
-            deadline = (
-                now + supervisor.timeout if supervisor.timeout is not None
-                else float("inf")
+            startup = STARTUP_TIMEOUT if supervisor.timeout is not None else None
+            running[shard] = (
+                process,
+                deadline_after(startup),
+                f"timeout after {startup}s waiting for worker startup",
             )
-            running[shard] = (process, deadline)
 
-        # Drain finished workers (results must be consumed before join).
-        while True:
-            try:
-                shard, status, payload = queue.get_nowait()
-            except Empty:
-                break
-            entry = running.pop(shard, None)
-            if entry is None:
-                continue  # late report from a terminated worker
-            process, _ = entry
-            if status == "ok":
-                results[shard] = payload
-                process.join(timeout=5.0)
-            else:
-                reap(shard, process, payload)
+        drain()
 
         # Enforce deadlines and notice silent deaths.
         now = monotonic()
@@ -719,20 +755,19 @@ def _run_supervised_pool(
             entry = running.get(shard)
             if entry is None:
                 continue  # settled by another shard's late report below
-            process, deadline = entry
+            process, deadline, timeout_error = entry
             if now > deadline:
                 running.pop(shard)
                 process.terminate()
                 if _obs._ENABLED:
                     _obs.default_registry().counter("supervisor.timeouts").inc()
-                reap(shard, process, f"timeout after {supervisor.timeout}s")
+                reap(shard, process, timeout_error)
             elif not process.is_alive():
                 # Dead without reporting: give the queue feeder one tick
                 # to deliver, then treat as a hard crash.
                 time.sleep(supervisor.poll_interval)
-                try:
-                    late_shard, status, payload = queue.get_nowait()
-                except Empty:
+                drain()
+                if running.get(shard, (None,))[0] is process:
                     running.pop(shard)
                     if _obs._ENABLED:
                         _obs.default_registry().counter(
@@ -743,16 +778,6 @@ def _run_supervised_pool(
                         process,
                         f"worker died without result (exitcode {process.exitcode})",
                     )
-                else:
-                    entry = running.pop(late_shard, None)
-                    if entry is None:
-                        continue
-                    late_process, _ = entry
-                    if status == "ok":
-                        results[late_shard] = payload
-                        late_process.join(timeout=5.0)
-                    else:
-                        reap(late_shard, late_process, payload)
 
         if running:
             time.sleep(supervisor.poll_interval)

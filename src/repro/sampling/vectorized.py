@@ -13,9 +13,11 @@ from:
 * :func:`shard_ids` — splitmix64 shard routing over id arrays,
   bit-for-bit equal to ``repro.core.sharded._shard_of`` for int
   vertices (property-tested).
-* :func:`edge_components` — connected components of a packed-key edge
-  array via min-label propagation, used for batch-granular merge/split
-  statistics.
+* :func:`component_roots` — connected components of a packed-key edge
+  array as one root id per vertex id, by hooking and pointer jumping.
+  The clusterer's cluster extraction and queries read it, and
+  :func:`edge_components` (batch-granular merge/split statistics) is
+  built on it.
 
 Determinism contract
 --------------------
@@ -40,6 +42,7 @@ from repro.sampling.random_pairing import PackedEdgeReservoir
 
 __all__ = [
     "NumpyPackedEdgeReservoir",
+    "component_roots",
     "edge_components",
     "shard_ids",
 ]
@@ -72,6 +75,50 @@ def shard_ids(key_u: np.ndarray, key_v: np.ndarray, num_shards: int) -> np.ndarr
     return (x % np.uint64(num_shards)).astype(np.int64)
 
 
+def component_roots(num_ids: int, packed_keys: np.ndarray) -> np.ndarray:
+    """Component root of every vertex id ``0..num_ids-1`` under an edge set.
+
+    ``packed_keys`` holds ``(u << 32) | v`` edge keys with both ids below
+    ``num_ids``. Returns an int64 array whose entry ``i`` is the smallest
+    id in ``i``'s connected component, so ids without an edge are their
+    own roots and two ids share a component iff their roots are equal.
+
+    Each round hooks the larger root of every edge that still crosses
+    two trees onto the smaller one (``np.minimum.at``), then pointer
+    jumping flattens the touched ids onto their roots. Parents only
+    ever decrease, so the forest stays acyclic, and the minimum id of
+    a component is never hooked, which makes the result independent of
+    edge order. Edges whose endpoints already share a root drop out of
+    later rounds.
+    """
+    roots = np.arange(num_ids, dtype=np.int64)
+    if packed_keys.size == 0:
+        return roots
+    u = (packed_keys >> _SHIFT32).astype(np.int64)
+    v = (packed_keys & _MASK32).astype(np.int64)
+    touched = np.zeros(num_ids, dtype=bool)
+    touched[u] = True
+    touched[v] = True
+    ids = np.flatnonzero(touched)
+    while True:
+        ru = roots[u]
+        rv = roots[v]
+        crossing = ru != rv
+        if not crossing.any():
+            return roots
+        u = u[crossing]
+        v = v[crossing]
+        ru = ru[crossing]
+        rv = rv[crossing]
+        np.minimum.at(roots, np.maximum(ru, rv), np.minimum(ru, rv))
+        parents = roots[ids]
+        while True:
+            grand = roots[parents]
+            if np.array_equal(grand, parents):
+                break
+            roots[ids] = parents = grand
+
+
 def edge_components(
     keys: np.ndarray,
 ) -> Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
@@ -83,8 +130,7 @@ def edge_components(
     reachable — stable for a given edge set). Empty input returns
     ``(0, None, None)``.
 
-    Uses min-label propagation with pointer jumping: O(E) numpy work
-    per round, O(log V) rounds on typical sampled subgraphs.
+    :func:`component_roots` over the compressed indices.
     """
     if keys.size == 0:
         return 0, None, None
@@ -92,19 +138,12 @@ def edge_components(
     endpoints[0::2] = keys >> _SHIFT32
     endpoints[1::2] = keys & _MASK32
     vertices, inverse = np.unique(endpoints, return_inverse=True)
-    eu = inverse[0::2]
-    ev = inverse[1::2]
-    labels = np.arange(vertices.size, dtype=np.int64)
-    # Paranoia bound: min-label propagation converges in <= V rounds even
-    # on a path graph; pointer jumping makes typical inputs O(log V).
-    for _ in range(vertices.size + 1):
-        before = labels.copy()
-        np.minimum.at(labels, eu, labels[ev])
-        np.minimum.at(labels, ev, labels[eu])
-        labels = np.minimum(labels, labels[labels])
-        if np.array_equal(labels, before):
-            break
-    return int(np.unique(labels).size), vertices, labels
+    compressed = inverse.astype(np.uint64)
+    labels = component_roots(
+        vertices.size, (compressed[0::2] << _SHIFT32) | compressed[1::2]
+    )
+    num_components = int(np.count_nonzero(labels == np.arange(vertices.size)))
+    return num_components, vertices, labels
 
 
 class NumpyPackedEdgeReservoir(PackedEdgeReservoir):

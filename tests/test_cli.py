@@ -183,6 +183,32 @@ class TestCluster:
         assert resumed.read_text() == full.read_text()
 
 
+LABELS_CONTRACT = Path(__file__).resolve().parent / "data" / "labels_contract"
+
+
+class TestLabelsContract:
+    """``repro cluster`` writes the committed labels byte for byte.
+
+    The expected files in ``tests/data/labels_contract`` were written
+    by the dict-and-sort renderer; CI's labels-smoke job runs this
+    class on its own."""
+
+    @pytest.mark.parametrize("name", ["ints", "strings"])
+    @pytest.mark.parametrize("min_size", [None, 3])
+    def test_labels_match_committed_bytes(self, tmp_path, name, min_size):
+        out = tmp_path / "found.labels"
+        argv = [
+            "cluster", str(LABELS_CONTRACT / f"{name}.edges"),
+            "--capacity", "60", "--seed", "7", "--out", str(out),
+        ]
+        expected = f"{name}.labels"
+        if min_size is not None:
+            argv += ["--min-size", str(min_size)]
+            expected = f"{name}.min{min_size}.labels"
+        assert main(argv) == 0
+        assert out.read_bytes() == (LABELS_CONTRACT / expected).read_bytes()
+
+
 class TestParallelModes:
     def test_all_modes_produce_identical_labels(self, workload, tmp_path):
         edges, _ = workload

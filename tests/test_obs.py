@@ -263,6 +263,30 @@ class TestProgressReporter:
         assert "clusters" not in line and "reservoir" not in line
 
 
+    @pytest.mark.parametrize("kernel", ["scalar", "numpy"])
+    def test_progress_lines_build_no_partition(self, kernel):
+        from repro.core import ClustererConfig, StreamingGraphClusterer
+        from repro.streams import insert_only_stream_raw, planted_partition
+
+        graph = planted_partition(200, 5, 0.3, 0.003, seed=3)
+        events = insert_only_stream_raw(graph.edges, seed=3)
+        clusterer = StreamingGraphClusterer(
+            ClustererConfig(
+                reservoir_capacity=300, seed=3, kernel=kernel, strict=False
+            )
+        )
+        out = io.StringIO()
+        reporter = ProgressReporter(100, clusterer, out=out)
+        clusterer.process(reporter.wrap(events), batch_size=256)
+        lines = out.getvalue().splitlines()
+        assert len(lines) == len(events) // 100 > 5
+        assert all("clusters " in line for line in lines)
+        # Cluster counts come from the cached component roots.
+        assert clusterer.partition_builds == 0
+        assert clusterer.num_clusters == clusterer.snapshot().num_clusters
+        assert clusterer.partition_builds == 1
+
+
 class TestInstrumentation:
     """Enabled-mode emission from the library layers."""
 

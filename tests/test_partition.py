@@ -1,8 +1,14 @@
-"""Unit tests for the Partition type."""
+"""Unit tests for the Partition type, and a differential test of the
+array-based cluster ordering and renderer against the dict-and-sort
+implementation they replaced."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.quality import Partition
+from repro.quality.partition import render_snapshot
 
 
 class TestConstruction:
@@ -88,3 +94,138 @@ class TestTransformations:
 
     def test_repr(self):
         assert "num_clusters=1" in repr(Partition({1: 0}))
+
+
+# ----------------------------------------------------------------------
+# Differential: the array routine against the dict-and-sort reference
+# ----------------------------------------------------------------------
+def reference_clusters(labels):
+    """``Partition.clusters()`` as the dict-and-sort implementation
+    computed it: member sets in first-appearance order of the labels,
+    sorted by size, then by the sorted ``repr`` lists."""
+    clusters = {}
+    for vertex, label in labels.items():
+        clusters.setdefault(label, set()).add(vertex)
+    return sorted(
+        (frozenset(members) for members in clusters.values()),
+        key=lambda members: (-len(members), sorted(map(repr, members))),
+    )
+
+
+def reference_render(labels):
+    """``render_snapshot`` as the dict-and-sort implementation wrote it."""
+    lines = []
+    for index, members in enumerate(reference_clusters(labels)):
+        for vertex in sorted(members, key=repr):
+            lines.append(f"{vertex}\t{index}\n")
+    return "".join(lines)
+
+
+_vertices = st.one_of(
+    st.integers(-(2**70), 2**70),  # negative, zero, beyond int64
+    st.integers(-3, 12),
+    st.text(max_size=6),  # unicode, quotes, backslashes, control chars
+    st.sampled_from(["'", '"', "a'b\"", "\\", "é", "日本", "_rest", "0", "-1"]),
+    # long labels beside short ones pad the fixed-width array past its
+    # bound, so these sets take the object-array sort
+    st.text(min_size=40, max_size=80),
+)
+_labellings = st.lists(_vertices, unique=True, max_size=40).flatmap(
+    lambda vertices: st.tuples(
+        st.just(vertices),
+        st.lists(
+            st.integers(0, max(len(vertices) // 3, 1)),  # many equal sizes
+            min_size=len(vertices),
+            max_size=len(vertices),
+        ),
+    )
+)
+
+
+def _assert_matches_reference(partition, labels):
+    expected = reference_clusters(labels)
+    assert partition.clusters() == expected
+    assert render_snapshot(partition) == reference_render(labels)
+    assert partition.num_clusters == len(expected)
+    assert partition.sizes() == [len(members) for members in expected]
+    assert partition.max_cluster_size == max(map(len, expected), default=0)
+
+
+class TestRendererDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(_labellings)
+    def test_dict_built(self, case):
+        vertices, codes = case
+        labels = dict(zip(vertices, codes))
+        _assert_matches_reference(Partition(labels), labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_labellings)
+    def test_array_built(self, case):
+        vertices, codes = case
+        partition = Partition.from_codes(vertices, np.array(codes, dtype=np.int64))
+        _assert_matches_reference(partition, dict(zip(vertices, codes)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_labellings, st.integers(1, 5))
+    def test_merged_small_clusters(self, case, min_size):
+        vertices, codes = case
+        labels = dict(zip(vertices, codes))
+        for partition in (
+            Partition(labels),
+            Partition.from_codes(vertices, np.array(codes, dtype=np.int64)),
+        ):
+            merged = partition.merged_small_clusters(min_size)
+            merged_labels = merged.labels()
+            assert set(merged_labels.values()) <= set(codes) | {"_rest"}
+            _assert_matches_reference(merged, merged_labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_vertices, unique=True, max_size=40))
+    def test_all_singletons(self, vertices):
+        labels = {vertex: index for index, vertex in enumerate(vertices)}
+        _assert_matches_reference(Partition.singletons(vertices), labels)
+
+    def test_empty(self):
+        for partition in (Partition({}), Partition.from_codes([], np.empty(0))):
+            assert render_snapshot(partition) == ""
+            assert partition.clusters() == []
+            assert partition.num_clusters == 0
+
+    def test_one_long_label_takes_the_object_sort(self):
+        # 41 reprs of 1-2 chars beside one of 102: padding far past the bound.
+        labels = {vertex: vertex % 4 for vertex in range(40)}
+        labels["x" * 100] = 1
+        labels[-5] = 3
+        for partition in (
+            Partition(labels),
+            Partition.from_codes(list(labels), np.array(list(labels.values()))),
+        ):
+            _assert_matches_reference(partition, labels)
+
+    def test_equal_size_ties_order_by_repr_lists(self):
+        labels = {10: "x", 9: "x", "b": "y", "a": "y", -1: "z", 100: "z"}
+        partition = Partition(labels)
+        assert render_snapshot(partition) == reference_render(labels)
+        # "'a'" < "-1" < "10" by code point, whatever the numeric order.
+        assert partition.clusters() == [
+            frozenset({"a", "b"}),
+            frozenset({-1, 100}),
+            frozenset({9, 10}),
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_labellings)
+    def test_dict_and_array_partitions_agree(self, case):
+        vertices, codes = case
+        from_dict = Partition(dict(zip(vertices, codes)))
+        from_arrays = Partition.from_codes(vertices, np.array(codes, dtype=np.int64))
+        assert from_dict == from_arrays
+        assert from_arrays == from_dict
+        assert hash(from_dict) == hash(from_arrays)
+        assert from_dict.labels() == from_arrays.labels()
+        assert from_dict.cluster_sets() == from_arrays.cluster_sets()
+        assert from_dict.normalized() == from_arrays.normalized()
+        assert from_dict.normalized().labels() == from_arrays.normalized().labels()
+        assert list(from_dict.vertices()) == list(from_arrays.vertices())
+        assert len(from_dict) == len(from_arrays)

@@ -354,6 +354,26 @@ class TestServiceSemantics:
                 )
                 assert metrics["reservoir_size"] == clusterer.reservoir_size
 
+    def test_metrics_replies_build_no_partition(self):
+        config = _config()
+        events = _events()
+        half = len(events) // 2
+        service = ClusterService(config)
+        with _RunningService(service) as running:
+            with ServiceClient(running.endpoint, tenant="m") as client:
+                clusterer = service._sessions["m"].clusterer
+                counts = []
+                for chunk in (events[:half], events[half:], []):
+                    client.send_events(chunk)
+                    counts.append(client.metrics()["clusters"])
+                    counts.append(client.metrics()["clusters"])
+                assert clusterer.partition_builds == 0
+                # The reported count is the partition's.
+                assert counts[-1] == clusterer.snapshot().num_clusters
+        reference = StreamingGraphClusterer(config)
+        reference.apply_many(events)
+        assert counts[-1] == reference.snapshot().num_clusters
+
     def test_stalled_tenant_does_not_degrade_others(self):
         # Tenant drains are slowed and queues are shallow: "slow" fills
         # its queue and is backpressured while "fast" still completes

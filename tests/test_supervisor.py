@@ -86,6 +86,16 @@ class TestSupervisedPool:
         assert results[2].attempts == 2 and not results[2].failed
         assert "timeout" not in (results[2].error or "")
 
+    def test_startup_overrun_fails_the_attempt(self, events, monkeypatch):
+        monkeypatch.setattr(sharded, "STARTUP_TIMEOUT", 0.001)
+        with pytest.warns(RuntimeWarning, match="failed permanently"):
+            _, results = cluster_stream_parallel(
+                events, CONFIG, 3,
+                supervisor=SupervisorConfig(timeout=20.0, max_attempts=1),
+            )
+        assert all(r.failed for r in results)
+        assert all("waiting for worker startup" in r.error for r in results)
+
     def test_permanent_failure_degrades_gracefully(self, events):
         with pytest.warns(RuntimeWarning, match="shard 1 failed permanently"):
             partition, results = cluster_stream_parallel(

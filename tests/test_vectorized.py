@@ -17,13 +17,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.clusterer import StreamingGraphClusterer
 from repro.core.config import ClustererConfig
 from repro.core.sharded import ShardedClusterer, _shard_of
 from repro.sampling.random_pairing import PackedEdgeReservoir
+from repro.connectivity.union_find import UnionFind
 from repro.sampling.vectorized import (
     NumpyPackedEdgeReservoir,
+    component_roots,
     edge_components,
     shard_ids,
 )
@@ -110,6 +114,124 @@ class TestEdgeComponents:
 
     def test_empty(self):
         assert edge_components(np.array([], dtype=np.uint64)) == (0, None, None)
+
+
+# ----------------------------------------------------------------------
+# component_roots: one root per id, the smallest id of its component
+# ----------------------------------------------------------------------
+def _pack(edges):
+    return np.array(
+        [(min(u, v) << 32) | max(u, v) for u, v in edges], dtype=np.uint64
+    )
+
+
+def _union_find_roots(num_ids, edges):
+    union = UnionFind()
+    for vid in range(num_ids):
+        union.add(vid)
+    for u, v in edges:
+        union.union(u, v)
+    smallest = {}
+    for vid in range(num_ids):
+        rep = union.find(vid)
+        smallest[rep] = min(smallest.get(rep, vid), vid)
+    return [smallest[union.find(vid)] for vid in range(num_ids)]
+
+
+class TestComponentRoots:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                        lambda e: e[0] != e[1]
+                    ),
+                    max_size=120,
+                ),
+            )
+        )
+    )
+    def test_matches_union_find(self, case):
+        num_ids, edges = case
+        roots = component_roots(num_ids, _pack(edges))
+        assert roots.dtype == np.int64
+        assert roots.tolist() == _union_find_roots(num_ids, edges)
+
+    def test_empty_input(self):
+        assert component_roots(0, np.empty(0, dtype=np.uint64)).tolist() == []
+        assert component_roots(4, np.empty(0, dtype=np.uint64)).tolist() == [
+            0, 1, 2, 3,
+        ]
+
+    def test_isolated_ids_are_their_own_roots(self):
+        roots = component_roots(10, _pack([(7, 3), (8, 3)]))
+        assert roots.tolist() == [0, 1, 2, 3, 4, 5, 6, 3, 3, 9]
+
+    @pytest.mark.parametrize("center", [0, 499, 999])
+    def test_star(self, center):
+        edges = [(center, leaf) for leaf in range(1000) if leaf != center]
+        assert (component_roots(1000, _pack(edges)) == 0).all()
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+    def test_long_paths(self, order):
+        n = 20000
+        labels = list(range(n))
+        edges = list(zip(labels, labels[1:]))
+        if order == "reversed":
+            edges.reverse()
+        elif order == "shuffled":
+            random.Random(5).shuffle(edges)
+        roots = component_roots(n, _pack(edges))
+        assert (roots == 0).all()
+        # The same path over shuffled ids, split in two at its midpoint.
+        ids = list(range(n))
+        random.Random(6).shuffle(ids)
+        half = n // 2
+        edges = [
+            (ids[i], ids[i + 1]) for i in range(n - 1) if i + 1 != half
+        ]
+        if order == "reversed":
+            edges.reverse()
+        elif order == "shuffled":
+            random.Random(7).shuffle(edges)
+        roots = component_roots(n, _pack(edges))
+        assert roots.tolist() == _union_find_roots(n, edges)
+        assert len(set(roots.tolist())) == 2
+
+
+class TestSettleStatsUnchanged:
+    """The numpy kernel's merge/split estimates, settled on
+    component_roots, equal the counts the min-label propagation
+    settlement reported on the equivalence streams."""
+
+    # (events, vertices, seed, batch, delete rate, capacity) ->
+    # (component_merges, component_splits)
+    CASES = [
+        ((3000, 300, 29, 512, 0.2, 100), (510, 198)),
+        ((3000, 300, 29, 512, 0.0, 100), (283, 52)),
+        ((3000, 300, 31, 512, 0.2, 100), (499, 172)),
+        ((3000, 300, 31, 512, 0.0, 100), (283, 58)),
+        ((1500, 200, 37, 1500, 0.2, 100), (416, 186)),
+        ((1500, 200, 37, 1500, 0.0, 100), (193, 21)),
+        ((20000, 2000, 41, 4096, 0.2, 800), (3898, 1602)),
+        ((20000, 2000, 41, 4096, 0.0, 800), (1941, 303)),
+    ]
+
+    @pytest.mark.parametrize("case,expected", CASES)
+    def test_counts(self, case, expected):
+        n, num_vertices, seed, batch, rate, capacity = case
+        events = _mixed_events(n, num_vertices, seed=seed, delete_rate=rate)
+        clusterer = StreamingGraphClusterer(
+            ClustererConfig(
+                reservoir_capacity=capacity, seed=23, kernel="numpy", strict=False
+            )
+        )
+        for start in range(0, len(events), batch):
+            clusterer.apply_many(events[start : start + batch])
+        stats = clusterer.stats
+        assert (stats.component_merges, stats.component_splits) == expected
 
 
 # ----------------------------------------------------------------------
